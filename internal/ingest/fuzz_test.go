@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"math"
 	"reflect"
 	"testing"
 )
@@ -143,11 +144,12 @@ func FuzzTXPK(f *testing.F) {
 	})
 }
 
-// FuzzParseDatr checks the datarate identifier parser never panics and
-// that accepted identifiers round-trip through Datr for the canonical
-// spelling.
+// FuzzParseDatr checks the datarate identifier parser never panics, that
+// accepted identifiers carry a valid SF and a finite positive bandwidth,
+// and that they round-trip through Datr for the canonical spelling.
 func FuzzParseDatr(f *testing.F) {
-	for _, s := range []string{"SF7BW125", "SF12BW500", "SF6BW125", "BW125", "SFxBW1", "SF9BW0", ""} {
+	for _, s := range []string{"SF7BW125", "SF12BW500", "SF6BW125", "BW125", "SFxBW1", "SF9BW0", "",
+		"SF7BWNaN", "SF7BWInf", "SF7BW1e308"} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
@@ -155,7 +157,7 @@ func FuzzParseDatr(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if !sf.Valid() || bw <= 0 {
+		if !sf.Valid() || !(bw > 0) || math.IsInf(bw, 0) {
 			t.Fatalf("ParseDatr(%q) accepted sf=%d bw=%v", s, sf, bw)
 		}
 		if sf2, bw2, err := ParseDatr(Datr(sf, bw)); err != nil || sf2 != sf {

@@ -11,12 +11,10 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 
 	"eflora/internal/lora"
-	"eflora/internal/slab"
 )
 
 // Semtech packet-forwarder protocol (v2) packet identifiers.
@@ -151,11 +149,16 @@ func ParseDatr(datr string) (lora.SF, float64, error) {
 	if err != nil || !lora.SF(sf).Valid() {
 		return 0, 0, fmt.Errorf("ingest: datr %q: bad SF %q", datr, sfStr)
 	}
+	// The protocol spells bandwidths in whole kHz (Datr truncates), so an
+	// accepted bandwidth must be at least 1 kHz to render back. No radio
+	// channel is wider than 1 GHz; the bounds also reject NaN, Inf and
+	// overflowing spellings.
 	bwKHz, err := strconv.ParseFloat(bwStr, 64)
-	if err != nil || bwKHz <= 0 {
+	bw := bwKHz * 1e3
+	if err != nil || !(bw >= 1e3 && bw <= 1e9) {
 		return 0, 0, fmt.Errorf("ingest: datr %q: bad BW %q", datr, bwStr)
 	}
-	return lora.SF(sf), bwKHz * 1e3, nil
+	return lora.SF(sf), bw, nil
 }
 
 // Datr renders a spreading factor and bandwidth as a datarate identifier.
@@ -163,11 +166,9 @@ func Datr(sf lora.SF, bwHz float64) string {
 	return fmt.Sprintf("SF%dBW%d", int(sf), int(bwHz/1e3))
 }
 
-// pushPayload is the JSON body of a PUSH_DATA packet.
+// pushPayload is the JSON body of a PUSH_DATA packet, for encoding.
 type pushPayload struct {
 	RXPK []RXPK `json:"rxpk,omitempty"`
-	// Stat (gateway status) is accepted and ignored.
-	Stat json.RawMessage `json:"stat,omitempty"`
 }
 
 // pullRespPayload is the JSON body of a PULL_RESP packet.
@@ -182,126 +183,17 @@ type txAckPayload struct {
 	} `json:"txpk_ack"`
 }
 
-// canonicalKeys maps the lower-cased spelling of every JSON field the
-// packet path decodes to its exact protocol spelling. strictKeys rejects
-// bodies that spell one of these any other way, because encoding/json
-// matches object keys case-insensitively and would silently accept them.
-var canonicalKeys = map[string]string{
-	"rxpk": "rxpk", "txpk": "txpk", "stat": "stat", "txpk_ack": "txpk_ack",
-	"error": "error", "tmst": "tmst", "time": "time", "freq": "freq",
-	"chan": "chan", "rfch": "rfch", "modu": "modu", "datr": "datr",
-	"codr": "codr", "rssi": "rssi", "lsnr": "lsnr", "size": "size",
-	"data": "data", "imme": "imme", "powe": "powe", "ipol": "ipol",
-}
-
 // ParseScratch holds the decode buffers one ingress loop reuses across
-// datagrams: the packet value, the PUSH_DATA body with its RXPK slice,
-// and the strictKeys walk state (a flat frame stack plus a shared key
-// stack, replacing a per-object map). The Packet returned by
+// datagrams: the packet value, the RXPK backing array and the JSON
+// scanner's key and container stacks. The Packet returned by
 // DecodePacketInto aliases the scratch and is valid until the next decode
-// with the same scratch. A zero ParseScratch is ready to use; a scratch
-// serves one decode at a time.
+// with the same scratch; the strings in it never alias the datagram. A
+// zero ParseScratch is ready to use; a scratch serves one decode at a
+// time.
 type ParseScratch struct {
-	pkt    Packet
-	push   pushPayload
-	rd     bytes.Reader
-	frames []ksFrame
-	keys   []ksKey
-}
-
-// ksFrame is one open object or array during the strictKeys walk. Object
-// frames own the suffix of the key stack starting at keyLo, popped with
-// the frame — sibling keys dedup by a linear scan of that suffix, which
-// for protocol-sized objects (≤14 keys) beats allocating a map per '{'.
-type ksFrame struct {
-	obj       bool
-	expectKey bool
-	keyLo     int32
-}
-
-// ksKey is one object key, case-folded for comparison and as written.
-type ksKey struct {
-	folded, raw string
-}
-
-// ksEndValue marks a completed object value, so the next string token at
-// the current nesting level is a key again.
-func (sc *ParseScratch) ksEndValue() {
-	if n := len(sc.frames); n > 0 && sc.frames[n-1].obj {
-		sc.frames[n-1].expectKey = true
-	}
-}
-
-// strictKeys walks a JSON body and rejects the key ambiguities Go's
-// case-insensitive field matching would otherwise resolve silently: two
-// keys in one object that differ only by ASCII case (or repeat exactly),
-// and any case-variant spelling of a field the packet path decodes. The
-// kept FuzzSemtechPushData crasher ({"rXpk":[]}) is exactly such an
-// input. Keys unknown to the codec still pass — gateways send fields this
-// server does not model.
-func (sc *ParseScratch) strictKeys(data []byte) error {
-	sc.rd.Reset(data)
-	dec := json.NewDecoder(&sc.rd)
-	sc.frames, sc.keys = sc.frames[:0], sc.keys[:0]
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		switch t := tok.(type) {
-		case json.Delim:
-			switch t {
-			case '{':
-				sc.frames = append(sc.frames, ksFrame{obj: true, expectKey: true, keyLo: int32(len(sc.keys))})
-			case '[':
-				sc.frames = append(sc.frames, ksFrame{})
-			default: // '}' or ']'
-				if f := sc.frames[len(sc.frames)-1]; f.obj {
-					sc.keys = sc.keys[:f.keyLo]
-				}
-				sc.frames = sc.frames[:len(sc.frames)-1]
-				sc.ksEndValue()
-			}
-		case string:
-			if n := len(sc.frames); n > 0 && sc.frames[n-1].obj && sc.frames[n-1].expectKey {
-				f := &sc.frames[n-1]
-				folded := strings.ToLower(t)
-				for _, k := range sc.keys[f.keyLo:] {
-					if k.folded == folded {
-						return fmt.Errorf("ingest: ambiguous JSON keys %q and %q in one object", k.raw, t)
-					}
-				}
-				sc.keys = append(sc.keys, ksKey{folded: folded, raw: t})
-				if canon, known := canonicalKeys[folded]; known && t != canon {
-					return fmt.Errorf("ingest: JSON key %q mismatches protocol field %q", t, canon)
-				}
-				f.expectKey = false
-				continue
-			}
-			sc.ksEndValue()
-		default: // number, bool, null
-			sc.ksEndValue()
-		}
-	}
-}
-
-// strictUnmarshal applies the packet path's hardened JSON decoding: the
-// strictKeys scan first, then the ordinary unmarshal.
-func (sc *ParseScratch) strictUnmarshal(data []byte, v any) error {
-	if err := sc.strictKeys(data); err != nil {
-		return err
-	}
-	return json.Unmarshal(data, v)
-}
-
-// strictUnmarshal is the one-shot form for cold paths (DecodeDownstream,
-// tests): a throwaway scratch per call.
-func strictUnmarshal(data []byte, v any) error {
-	var sc ParseScratch
-	return sc.strictUnmarshal(data, v)
+	pkt Packet
+	rx  []RXPK
+	js  jsonScanner
 }
 
 // Packet is a decoded packet-forwarder datagram.
@@ -366,24 +258,18 @@ func DecodePacketInto(buf []byte, sc *ParseScratch) (*Packet, error) {
 	copy(p.EUI[:], buf[headerLen:headerLen+8])
 	switch p.Kind {
 	case PushData:
-		// encoding/json appends array elements into the slice's existing
-		// backing array without zeroing it first, so fields absent from
-		// this datagram's rxpk objects would leak values from the previous
-		// one; clear the full capacity before handing the slice back.
-		rx := slab.GrowZero(sc.push.RXPK, cap(sc.push.RXPK))
-		sc.push = pushPayload{RXPK: rx[:0]}
-		if err := sc.strictUnmarshal(buf[headerLen+8:], &sc.push); err != nil {
+		if err := sc.decodePush(buf[headerLen+8:]); err != nil {
 			return nil, fmt.Errorf("ingest: PUSH_DATA payload: %w", err)
 		}
-		p.RXPK = sc.push.RXPK
+		p.RXPK = sc.rx
 	case TxAck:
 		// The body is optional: success may be an empty datagram.
 		if rest := buf[headerLen+8:]; len(bytes.TrimSpace(rest)) > 0 {
-			var body txAckPayload
-			if err := sc.strictUnmarshal(rest, &body); err != nil {
+			ackErr, err := sc.decodeTxAck(rest)
+			if err != nil {
 				return nil, fmt.Errorf("ingest: TX_ACK payload: %w", err)
 			}
-			p.TxAckErr = body.Ack.Error
+			p.TxAckErr = ackErr
 		}
 	}
 	return p, nil
@@ -408,11 +294,12 @@ func DecodeDownstream(buf []byte) (*Packet, error) {
 	case PushAck, PullAck:
 		// Header only.
 	case PullResp:
-		var body pullRespPayload
-		if err := strictUnmarshal(buf[headerLen:], &body); err != nil {
+		var sc ParseScratch
+		tx := new(TXPK)
+		if err := sc.decodePullResp(buf[headerLen:], tx); err != nil {
 			return nil, fmt.Errorf("ingest: PULL_RESP payload: %w", err)
 		}
-		p.TXPK = &body.TXPK
+		p.TXPK = tx
 	default:
 		return nil, fmt.Errorf("ingest: unexpected downstream packet kind %#02x", p.Kind)
 	}

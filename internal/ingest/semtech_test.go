@@ -3,6 +3,7 @@ package ingest
 import (
 	"bytes"
 	"encoding/base64"
+	"fmt"
 	"testing"
 
 	"eflora/internal/lora"
@@ -87,7 +88,8 @@ func TestParseDatr(t *testing.T) {
 	if err != nil || sf != lora.SF12 || bw != 500e3 {
 		t.Errorf("SF12BW500 -> %v/%v/%v", sf, bw, err)
 	}
-	for _, bad := range []string{"", "SF7", "BW125", "SFxBW125", "SF99BW125", "SF7BWx"} {
+	for _, bad := range []string{"", "SF7", "BW125", "SFxBW125", "SF99BW125", "SF7BWx",
+		"SF7BWNaN", "SF7BWInf", "SF7BW+Inf", "SF7BW1e308", "SF7BW-125", "SF7BW1e20", "SF7BW0.5"} {
 		if _, _, err := ParseDatr(bad); err == nil {
 			t.Errorf("%q accepted", bad)
 		}
@@ -206,6 +208,12 @@ func TestStrictKeysRejectsAmbiguity(t *testing.T) {
 		`{"rxpk":[],"RXPK":[]}`,          // case-folded duplicate
 		`{"rxpk":[{"tmst":1,"tmst":2}]}`, // exact duplicate
 		`{"brd":1,"BRD":2}`,              // duplicate of an unmodeled key
+		// Unicode simple folding, which encoding/json's field matching
+		// uses: U+017F (long s) folds to s, U+212A (Kelvin sign) to k.
+		`{"rxpk":[{"rssi":-100,"rſſi":-50}]}`, // would override rssi
+		`{"rxpk":[{"tmſt":5}]}`,               // would decode as tmst
+		`{"rxpK":[]}`,                         // Kelvin-sign rxpk
+		`{"Key":1,"key":2}`,                   // fold duplicate of an unmodeled key
 	}
 	for _, body := range rejected {
 		if _, err := DecodePacket(mk(body)); err == nil {
@@ -347,37 +355,139 @@ func TestDecodePacketIntoRejectsLikeDecodePacket(t *testing.T) {
 	}
 }
 
-// BenchmarkDecodePushData compares the fresh-storage and scratch-reusing
-// decode paths on a realistic 8-uplink PUSH_DATA datagram.
-func BenchmarkDecodePushData(b *testing.B) {
-	eui := [8]byte{0xAA, 0x55, 1, 2, 3, 4, 5, 6}
-	rxpks := make([]RXPK, 8)
+// servePushData encodes n uplinks shaped like the perfbench serve
+// workload's: full-precision RSSI/SNR, protocol datarate and coding rate,
+// a 20-byte PHY payload.
+func servePushData(tb testing.TB, n int) []byte {
+	tb.Helper()
+	rxpks := make([]RXPK, n)
 	for i := range rxpks {
 		rxpks[i] = RXPK{
-			Tmst: uint64(1000 * i), Freq: 868.1, Chan: i, Stat: 1,
-			Modu: "LORA", Datr: "SF7BW125", Codr: "4/7",
-			RSSI: -100, LSNR: 2.5, Size: 4, Data: "3q2+7w==",
+			Tmst: 1_234_567_890 + uint64(1000*i), Freq: 868.3, Chan: i % 3, Stat: 1,
+			Modu: "LORA", Datr: "SF9BW125", Codr: "4/7",
+			RSSI: -117.83926478357262, LSNR: -9.612345678901234,
+			Size: 20, Data: "QAEAAAGAAQABGhscHR4fICEiIyQ=",
 		}
 	}
-	buf, err := EncodePushData(7, eui, rxpks)
+	buf, err := EncodePushData(7, [8]byte{0xAA, 0x55, 1, 2, 3, 4, 5, 6}, rxpks)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.Run("fresh", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := DecodePacket(buf); err != nil {
-				b.Fatal(err)
-			}
+	return buf
+}
+
+// TestDecodePacketIntoAllocBudget pins the warm decode's allocations: one
+// per uplink (its Data string; modu, datr and codr are interned) and none
+// for PULL_DATA or TX_ACK.
+func TestDecodePacketIntoAllocBudget(t *testing.T) {
+	eui := [8]byte{1, 2, 3, 4, 5, 6, 7, 8}
+	cases := []struct {
+		name string
+		buf  []byte
+		max  float64
+	}{
+		{"push-1", servePushData(t, 1), 1},
+		{"push-8", servePushData(t, 8), 8},
+		{"pull", EncodePullData(1, eui), 0},
+	}
+	for _, e := range []string{TxErrNone, TxErrTooLate, TxErrCollisionPacket, ""} {
+		buf, err := EncodeTxAck(2, eui, e)
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	b.Run("scratch", func(b *testing.B) {
-		var sc ParseScratch
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := DecodePacketInto(buf, &sc); err != nil {
-				b.Fatal(err)
-			}
+		cases = append(cases, struct {
+			name string
+			buf  []byte
+			max  float64
+		}{"txack-" + e, buf, 0})
+	}
+	var sc ParseScratch
+	for _, c := range cases {
+		if _, err := DecodePacketInto(c.buf, &sc); err != nil { // warm
+			t.Fatalf("%s: %v", c.name, err)
 		}
-	})
+		got := testing.AllocsPerRun(100, func() {
+			if _, err := DecodePacketInto(c.buf, &sc); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > c.max {
+			t.Errorf("%s: %.1f allocs per warm decode, budget %.0f", c.name, got, c.max)
+		}
+	}
+}
+
+// TestDecodePacketIntoRetention keeps the strings of one decode and
+// checks they survive the scratch decoding another datagram written over
+// the same receive buffer, as eflora-nsd's UDP loop reuses it. Values
+// cover the interned, copied and unescaped paths.
+func TestDecodePacketIntoRetention(t *testing.T) {
+	eui := [8]byte{1, 2, 3, 4, 5, 6, 7, 8}
+	hdr := append([]byte{ProtocolVersion, 0, 0, PushData}, eui[:]...)
+	first := append(append([]byte{}, hdr...),
+		`{"rxpk":[{"modu":"LORA","datr":"SF9BW125","codr":"4/7","data":"QUJD"},`+
+			`{"modu":"L\u004fRA-X","datr":"SF7BW999","codr":"5/9","data":"R\u0045Y=","time":"t1"}]}`...)
+	second := append(append([]byte{}, hdr...),
+		`{"rxpk":[{"modu":"ZZZZ","datr":"SF0BW000","codr":"0/0","data":"ZZZZ"},`+
+			`{"modu":"ZZZZZZZZ","datr":"ZZZZZZZZ","codr":"Z/Z","data":"ZZZZ","time":"zz"}]}`...)
+	buf := make([]byte, 2048)
+	var sc ParseScratch
+	p, err := DecodePacketInto(buf[:copy(buf, first)], &sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := append([]RXPK(nil), p.RXPK...)
+	want := []RXPK{
+		{Modu: "LORA", Datr: "SF9BW125", Codr: "4/7", Data: "QUJD"},
+		{Modu: "LORA-X", Datr: "SF7BW999", Codr: "5/9", Data: "REY=", Time: "t1"},
+	}
+	for i := range buf {
+		buf[i] = 'Z'
+	}
+	if _, err := DecodePacketInto(buf[:copy(buf, second)], &sc); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if kept[i] != want[i] {
+			t.Errorf("rxpk %d changed after the next decode:\n got %+v\nwant %+v", i, kept[i], want[i])
+		}
+	}
+}
+
+// BenchmarkDecodePushData times the fresh-storage and scratch-reusing
+// decode paths, and the encoding/json oracle, on two datagram shapes: one uplink per datagram as the
+// perfbench serve workload and a single-gateway replay send it (full
+// precision RSSI/SNR, a 20-byte PHY payload), and a busy gateway's
+// 8-uplink batch.
+func BenchmarkDecodePushData(b *testing.B) {
+	for _, n := range []int{1, 8} {
+		buf := servePushData(b, n)
+		b.Run(fmt.Sprintf("uplinks=%d/fresh", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := DecodePacket(buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("uplinks=%d/scratch", n), func(b *testing.B) {
+			var sc ParseScratch
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := DecodePacketInto(buf, &sc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		// The two-pass encoding/json path the scanner replaced (strict-key
+		// token walk, then Unmarshal), kept as the test oracle.
+		b.Run(fmt.Sprintf("uplinks=%d/json-oracle", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := oracleDecodePacket(buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
