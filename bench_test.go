@@ -167,8 +167,8 @@ func BenchmarkSimulatorNoScratch(b *testing.B) {
 // 1x on a single-core host, where only the structure is exercised).
 
 // BenchmarkFig5Sequential and BenchmarkFig5Parallel fan the (gateway
-// count x method) grid and the trials inside each cell out across
-// workers.
+// count x method) grid out across workers; each cell's trials,
+// allocations and simulations then run on that cell's goroutine.
 func BenchmarkFig5Sequential(b *testing.B) { benchFig5(b, 1) }
 func BenchmarkFig5Parallel(b *testing.B)   { benchFig5(b, 0) }
 
@@ -214,23 +214,6 @@ func BenchmarkSimulatorStreaming(b *testing.B) {
 		cfg := sim.Config{PacketsPerDevice: 20, Seed: uint64(i), Parallelism: 1,
 			StreamWindowS: 60, Scratch: sc}
 		if _, err := sim.Run(net, p, a, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEFLoRaAllocateSequential / Parallel scan each device's
-// (SF, TP, channel) candidates serially vs across workers.
-func BenchmarkEFLoRaAllocateSequential(b *testing.B) { benchEFLoRaAllocate(b, 1) }
-func BenchmarkEFLoRaAllocateParallel(b *testing.B)   { benchEFLoRaAllocate(b, 0) }
-
-func benchEFLoRaAllocate(b *testing.B, workers int) {
-	b.Helper()
-	net, p, _ := benchNetwork(300, 3)
-	ef := alloc.NewEFLoRa(alloc.Options{Parallelism: workers})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ef.Allocate(net, p, rng.New(uint64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,13 +4,11 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"eflora/internal/geo"
 	"eflora/internal/lora"
 	"eflora/internal/model"
-	"eflora/internal/par"
 	"eflora/internal/rng"
 )
 
@@ -34,10 +32,10 @@ type Options struct {
 	// in a seeded random order instead (the ablation behind the paper's
 	// 10.3% execution-delay claim).
 	RandomOrder bool
-	// Parallelism bounds the candidate-scan goroutines of the greedy's
-	// inner (SF, TP, channel) loop (0 = NumCPU). Workers share the
-	// evaluator as a read-only snapshot and the winning move is committed
-	// sequentially, so the allocation is bit-identical at any setting.
+	// Parallelism bounds the goroutines of allocators that fan out over
+	// independent work — the hierarchical allocator's cells when built
+	// through the registry (0 = GOMAXPROCS). EF-LoRa's candidate scan is
+	// sequential and ignores it.
 	Parallelism int
 	// Starts caps the multi-start initial allocations the greedy refines:
 	// 0 runs all four, 1..4 keeps a prefix of [minimal-SF/max-power,
@@ -172,7 +170,7 @@ func (a *EFLoRa) AllocateWithReport(net *model.Network, p model.Params, r *rng.R
 		if ii == 0 {
 			rep.InitialMinEE, _ = ev.MinEE()
 		}
-		cur, err := a.refine(ev, gains, order, p, &rep)
+		cur, err := a.refine(ev, order, p, &rep)
 		if err != nil {
 			return model.Allocation{}, rep, err
 		}
@@ -197,41 +195,22 @@ func (a *EFLoRa) AllocateWithReport(net *model.Network, p model.Params, r *rng.R
 // no-fading-margin basin long before the structural moves have been found.
 //
 //eflora:hotpath
-func (a *EFLoRa) refine(ev *model.Evaluator, gains [][]float64, order []int, p model.Params, rep *Report) (float64, error) {
+func (a *EFLoRa) refine(ev *model.Evaluator, order []int, p model.Params, rep *Report) (float64, error) {
 	phases := [][]float64{{p.Plan.MaxTxPowerDBm}, a.tpLevels(p.Plan)}
 	if a.opts.FixedTPdBm != nil {
 		phases = [][]float64{{*a.opts.FixedTPdBm}}
 	}
-	nch := p.Plan.NumChannels()
-	workers := par.Workers(a.opts.Parallelism)
 
-	var cands []candidate
 	cur, _ := ev.MinEE()
 	for _, tpLevels := range phases {
 		for pass := 0; pass < a.opts.MaxPasses; pass++ {
 			rep.Passes++
 			before := cur
 			for _, i := range order {
-				curSF, curTP, curCh := ev.Assignment(i)
-				cands = cands[:0]
-				for _, sf := range lora.SFs() {
-					for _, tp := range tpLevels {
-						if !model.Feasible(gains, i, sf, tp) {
-							continue
-						}
-						for ch := 0; ch < nch; ch++ {
-							if sf == curSF && tp == curTP && ch == curCh {
-								continue
-							}
-							cands = append(cands, candidate{sf: sf, tp: tp, ch: ch})
-						}
-					}
-				}
-				rep.CandidatesTried += len(cands)
-				bestIdx := scanCandidates(ev, i, cands, cur, workers)
-				if bestIdx >= 0 {
-					c := cands[bestIdx]
-					if err := ev.SetDevice(i, c.sf, c.tp, c.ch); err != nil {
+				mv, got, tried := ev.BestMove(i, tpLevels, true, cur)
+				rep.CandidatesTried += tried
+				if got > cur {
+					if err := ev.SetDevice(i, mv.SF, mv.TPdBm, mv.Channel); err != nil {
 						return 0, err
 					}
 					rep.Improvements++
@@ -254,88 +233,6 @@ func (a *EFLoRa) refine(ev *model.Evaluator, gains [][]float64, order []int, p m
 		}
 	}
 	return cur, nil
-}
-
-// candidate is one (SF, TP, channel) option of the greedy's inner scan.
-type candidate struct {
-	sf lora.SF
-	tp float64
-	ch int
-}
-
-// scanCandidates evaluates every candidate reassignment of device dev and
-// returns the index of the winner — the first candidate (in enumeration
-// order) attaining the largest network minimum strictly above cur — or -1
-// when no candidate improves on cur.
-//
-// With more than one worker the candidate list is split into contiguous
-// chunks scanned concurrently against the shared evaluator (reads only;
-// see model.Evaluator's concurrency contract). Each worker prunes with a
-// threshold strictly below its running best, so candidates tying the best
-// still evaluate exactly, and the reduce resolves ties by candidate
-// index. That reproduces the sequential first-winner rule bit-for-bit at
-// any worker count.
-//
-//eflora:hotpath
-func scanCandidates(ev *model.Evaluator, dev int, cands []candidate, cur float64, workers int) int {
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	if workers <= 1 {
-		bestIdx, bestEE := -1, cur
-		for ci, c := range cands {
-			got := ev.MinEEIfAbove(dev, c.sf, c.tp, c.ch, bestEE)
-			if got > bestEE {
-				bestIdx, bestEE = ci, got
-			}
-		}
-		return bestIdx
-	}
-	type scanBest struct {
-		idx int
-		val float64
-	}
-	bests := make([]scanBest, workers)
-	chunk := (len(cands) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(cands) {
-			hi = len(cands)
-		}
-		bests[w] = scanBest{idx: -1, val: cur}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		//eflora:alloc-ok one goroutine closure per worker per scan, bounded by Parallelism; the allocator's alloc budget (BenchmarkEFLoRaAllocate) is measured at workers=1
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			b := scanBest{idx: -1, val: cur}
-			for ci := lo; ci < hi; ci++ {
-				c := cands[ci]
-				got := ev.MinEEIfAbove(dev, c.sf, c.tp, c.ch, math.Nextafter(b.val, math.Inf(-1)))
-				if got > b.val {
-					b = scanBest{idx: ci, val: got}
-				}
-			}
-			bests[w] = b
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	out := scanBest{idx: -1, val: cur}
-	for _, b := range bests {
-		if b.idx < 0 {
-			continue
-		}
-		// Strictly-greater keeps the lowest candidate index on value ties,
-		// because chunks are contiguous and visited in ascending order.
-		if b.val > out.val {
-			out = b
-		}
-	}
-	return out.idx
 }
 
 // deviceOrder returns the visiting order: density-first (most contended

@@ -25,10 +25,9 @@ type Incremental struct {
 	// AddDevice) and reused across calls so the reconcile path is
 	// delta-based: a reassignment touches only the two (SF, channel)
 	// groups it moves between (model.Evaluator.SetDevice) instead of
-	// rebuilding gains and evaluator per call. Topology changes
-	// (add/remove/reoptimize) invalidate all three.
+	// rebuilding the evaluator per call. Topology changes
+	// (add/remove/reoptimize) invalidate both.
 	ev       *model.Evaluator
-	gains    [][]float64
 	tpLevels []float64
 }
 
@@ -65,17 +64,15 @@ func NewIncremental(net *model.Network, p model.Params, alloc model.Allocation, 
 // wholesale allocation change.
 func (inc *Incremental) invalidate() {
 	inc.ev = nil
-	inc.gains = nil
 	inc.tpLevels = nil
 }
 
-// ensureEval builds the cached gains matrix, evaluator and TP ladder if a
-// topology change (or construction) invalidated them.
+// ensureEval builds the cached evaluator and TP ladder if a topology
+// change (or construction) invalidated them.
 func (inc *Incremental) ensureEval() error {
 	if inc.ev != nil {
 		return nil
 	}
-	inc.gains = model.Gains(&inc.net, inc.p)
 	ev, err := model.NewEvaluator(&inc.net, inc.p, inc.alloc, inc.opts.Mode)
 	if err != nil {
 		return err
@@ -163,7 +160,6 @@ func (inc *Incremental) AddDevice(pos geo.Point, env int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	inc.gains = gains
 	inc.ev = ev
 	if inc.opts.FixedTPdBm != nil {
 		inc.tpLevels = []float64{*inc.opts.FixedTPdBm}
@@ -179,28 +175,17 @@ func (inc *Incremental) AddDevice(pos geo.Point, env int) (int, error) {
 }
 
 // bestMove scans every feasible (SF, TP, channel) for device i against the
-// cached evaluator and returns the move that maximizes the network minimum
-// EE, and whether it differs from i's current assignment. The cached
-// evaluator must be valid (ensureEval).
+// cached evaluator, its current assignment included, and returns the move
+// that maximizes the network minimum EE, and whether it differs from i's
+// current assignment. The cached evaluator must be valid (ensureEval).
 func (inc *Incremental) bestMove(i int) (lora.SF, float64, int, bool) {
-	bestEE, _ := inc.ev.MinEE()
-	bestSF, bestTP, bestCh := inc.alloc.SF[i], inc.alloc.TPdBm[i], inc.alloc.Channel[i]
-	nch := inc.p.Plan.NumChannels()
-	for s := lora.MinSF; s <= lora.MaxSF; s++ {
-		for _, t := range inc.tpLevels {
-			if !model.Feasible(inc.gains, i, s, t) {
-				continue
-			}
-			for c := 0; c < nch; c++ {
-				got := inc.ev.MinEEIfAbove(i, s, t, c, bestEE)
-				if got > bestEE {
-					bestEE, bestSF, bestTP, bestCh = got, s, t, c
-				}
-			}
-		}
+	cur, _ := inc.ev.MinEE()
+	mv, got, _ := inc.ev.BestMove(i, inc.tpLevels, false, cur)
+	if !(got > cur) {
+		return inc.alloc.SF[i], inc.alloc.TPdBm[i], inc.alloc.Channel[i], false
 	}
-	changed := bestSF != inc.alloc.SF[i] || bestTP != inc.alloc.TPdBm[i] || bestCh != inc.alloc.Channel[i]
-	return bestSF, bestTP, bestCh, changed
+	changed := mv.SF != inc.alloc.SF[i] || mv.TPdBm != inc.alloc.TPdBm[i] || mv.Channel != inc.alloc.Channel[i]
+	return mv.SF, mv.TPdBm, mv.Channel, changed
 }
 
 // commit applies a move to both the allocation snapshot and the cached
@@ -224,7 +209,7 @@ func (inc *Incremental) commit(i int, sf lora.SF, tp float64, ch int) error {
 // allocator's boundary-reconcile step. It reports whether the assignment
 // changed.
 //
-// The first call builds the gains matrix and evaluator; subsequent calls
+// The first call builds the evaluator; subsequent calls
 // reuse them, committing moves as delta updates that touch only the two
 // (SF, channel) groups involved — the warm path allocates nothing. Long
 // reassignment campaigns should call Refresh at pass boundaries to flush

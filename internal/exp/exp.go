@@ -36,12 +36,13 @@ type Config struct {
 	PacketsPerDevice int
 	// Seed drives deployment and simulation randomness.
 	Seed uint64
-	// Parallelism bounds the worker goroutines at each fan-out level —
-	// independent trials, figure data points, gateway replay inside the
-	// simulator, and the allocator's candidate scans (0 = NumCPU). Every
-	// trial derives its own RNG from a per-trial seed and partial results
-	// merge in trial order, so experiment output is bit-identical at any
-	// setting.
+	// Parallelism bounds the worker goroutines of the outermost fan-out
+	// level with more than one item — a figure's data points, else a data
+	// point's trials, else the simulator's gateway replay and the
+	// allocator's cells (0 = GOMAXPROCS). Levels below the one fanning out
+	// run on one goroutine, so goroutines never nest. Every trial derives
+	// its own RNG from a per-trial seed and partial results merge in trial
+	// order, so experiment output is bit-identical at any setting.
 	Parallelism int
 	// StreamWindowS, when positive, runs every trial's simulation in
 	// time-windowed streaming mode (sim.Config.StreamWindowS): resident
@@ -257,14 +258,17 @@ var scratchPool = sync.Pool{New: func() any { return new(sim.Scratch) }}
 func runMethodTrialsR(cfg Config, devices, gateways int, radiusM float64, params *model.Params, method string, opts alloc.Options) (trialStats, error) {
 	ts := trialStats{Method: method}
 	p := cfg.params(params)
-	if opts.Parallelism == 0 {
-		opts.Parallelism = cfg.Parallelism
-	}
 	// Trials are independent by construction — each derives deployment,
 	// allocation and simulation RNGs from its own seed — so they fan out
 	// across workers; per-trial results land in trial-indexed slots and
 	// merge below in trial order, keeping every float accumulation in the
-	// exact order of a sequential run.
+	// exact order of a sequential run. When they do fan out, each trial's
+	// allocator and simulator run on its own goroutine.
+	inner := cfg.Parallelism
+	if cfg.Trials > 1 {
+		inner = 1
+	}
+	opts.Parallelism = inner
 	type trialOut struct {
 		ee                    []float64
 		min, mean, jain, life float64
@@ -299,7 +303,7 @@ func runMethodTrialsR(cfg Config, devices, gateways int, radiusM float64, params
 		res, err := netw.Simulate(a, sim.Config{
 			PacketsPerDevice: cfg.PacketsPerDevice,
 			Seed:             seed + 13,
-			Parallelism:      cfg.Parallelism,
+			Parallelism:      inner,
 			StreamWindowS:    cfg.StreamWindowS,
 			Scratch:          sc,
 		})
@@ -352,14 +356,19 @@ type trialTask struct {
 
 // runTrialGrid evaluates a figure's (data point x method) grid, fanning
 // the independent tasks out across cfg.Parallelism workers, and returns
-// the results in task order. Errors surface lowest-index first, matching
-// what a sequential loop over the same tasks would have returned.
+// the results in task order; each task then runs its trials on its own
+// goroutine. Errors surface lowest-index first, matching what a
+// sequential loop over the same tasks would have returned.
 func runTrialGrid(cfg Config, tasks []trialTask) ([]trialStats, error) {
 	out := make([]trialStats, len(tasks))
 	errs := make([]error, len(tasks))
+	inner := cfg
+	if len(tasks) > 1 {
+		inner.Parallelism = 1
+	}
 	par.For(cfg.Parallelism, len(tasks), func(i int) {
 		t := tasks[i]
-		out[i], errs[i] = runMethodTrialsR(cfg, t.devices, t.gateways, t.radiusM, t.params, t.method, t.opts)
+		out[i], errs[i] = runMethodTrialsR(inner, t.devices, t.gateways, t.radiusM, t.params, t.method, t.opts)
 	})
 	if err := par.FirstErr(errs); err != nil {
 		return nil, err

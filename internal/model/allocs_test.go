@@ -9,9 +9,9 @@ import (
 )
 
 // TestEvaluatorAllocBudget pins the allocator's steady-state hot paths —
-// candidate probes, commits and pass-boundary recomputes — to zero heap
-// allocations per operation. The greedy performs millions of these per
-// figure; a regression that re-introduces a per-call allocation (a map
+// candidate probes, whole-device candidate scans, commits and
+// pass-boundary recomputes — to zero heap allocations per operation. The
+// greedy performs millions of these per figure; a regression that re-introduces a per-call allocation (a map
 // rebuild, an escaping closure, a fresh capacity distribution) fails here
 // long before it shows up in wall-clock benchmarks.
 func TestEvaluatorAllocBudget(t *testing.T) {
@@ -42,6 +42,12 @@ func TestEvaluatorAllocBudget(t *testing.T) {
 		i++
 	}); got > 0 {
 		t.Errorf("MinEEIf + MinEEIfAbove allocate %v per pair, budget 0", got)
+	}
+	if got := testing.AllocsPerRun(20, func() {
+		ev.BestMove(i%300, tpLevels, i%2 == 0, cur)
+		i++
+	}); got > 0 {
+		t.Errorf("BestMove allocates %v per scan, budget 0", got)
 	}
 	if got := testing.AllocsPerRun(20, func() {
 		if err := ev.SetDevice(i%300, lora.SF7+lora.SF(i%6), tpLevels[i%len(tpLevels)], i%nch); err != nil {

@@ -44,13 +44,11 @@ type group struct {
 // network under an allocation, with O(G)-per-device incremental updates so
 // the greedy allocator can evaluate candidate re-allocations cheaply.
 //
-// An Evaluator is not safe for concurrent mutation, but the read-only
-// methods — EE, EEAll, PRR, MinEE, MinEEIf, MinEEIfAbove, Allocation —
-// never write to the evaluator and may be called from multiple goroutines
-// at once, as long as no SetDevice or RecomputeAll runs concurrently.
-// The parallel candidate scan of the EF-LoRa greedy relies on this:
-// workers share one evaluator as a read-only snapshot, and the winning
-// candidate is committed sequentially afterward.
+// An Evaluator is not safe for concurrent use. Even the query methods
+// MinEEIf, MinEEIfAbove and BestMove stage their hoisted per-candidate
+// values in evaluator-owned scratch, so callers that fan out give each
+// goroutine its own evaluator (the hierarchical allocator builds one per
+// cell).
 type Evaluator struct {
 	net  *Network
 	p    Params
@@ -58,11 +56,11 @@ type Evaluator struct {
 
 	n, g, nch int
 
-	// Static caches.
+	// Static caches; the per-SF tables are indexed by sfIndex.
 	gain    [][]float64 // [device][gateway] linear attenuation
-	toaBySF map[lora.SF]float64
-	thLin   map[lora.SF]float64 // linear SNR threshold
-	ssMW    map[lora.SF]float64 // sensitivity in mW
+	toaBySF [6]float64
+	thLin   [6]float64 // linear SNR threshold
+	ssMW    [6]float64 // sensitivity in mW
 	noiseMW float64
 	lbits   float64
 	density float64 // devices per m² (for ModePPP)
@@ -76,6 +74,7 @@ type Evaluator struct {
 	es    []float64   // energy per transmission attempt (J)
 	vis   [][]float64 // [device][gateway] P{signal clears sensitivity}
 	q     [][]float64 // [device][gateway] α·vis, the capacity trial prob
+	pdr0  [][]float64 // [device][gateway] noise-floor PDR exp(-floor/(p·a))
 
 	groups [][]*group // [sfIndex][channel]
 	chSum  [][]float64
@@ -84,6 +83,49 @@ type Evaluator struct {
 	interSFRej float64 // linear rejection factor; 0 disables
 
 	ee []float64
+
+	scan moveScan
+}
+
+// moveScan is the hoisted state of one device's candidate scan. BestMove
+// and MinEEIfAbove fill it in two stages — per device, per (SF, TP) — so
+// each channel candidate only pays for what depends on its channel.
+type moveScan struct {
+	// Per device.
+	i     int
+	oldGr *group
+	// min1 and min2 are the two smallest cached minima of the groups
+	// other than oldGr, and min1Gr the group holding min1: the untouched
+	// groups of a candidate moving to newGr bound the network minimum by
+	// min2 if newGr is min1Gr, else by min1.
+	min1, min2 float64
+	min1Gr     *group
+	// leaveVis and leaveQ are oldGr's exposure sums without i, the base
+	// its remaining members see once i leaves; negPGOld[k] is
+	// -(p_i·gain_{i,k}) under the committed assignment.
+	leaveVis, leaveQ, negPGOld []float64
+	// leaveMin is the minimum EE of oldGr's remaining members once i has
+	// left. Without the inter-SF extension it does not depend on where i
+	// goes, so it is computed once per scan (leaveKnown).
+	leaveKnown bool
+	leaveMin   float64
+
+	// Per (SF, TP): i's duty cycle, energy per attempt and per-gateway
+	// visibility, trial probability, noise-floor PDR and mean power under
+	// the candidate.
+	sf                  lora.SF
+	alpha, tpmw, es     float64
+	vis, q, pdr0, pgNew []float64
+
+	// Per candidate: the exposure base of the candidate group's members.
+	joinVis, joinQ []float64
+}
+
+// Move is one (SF, TP, channel) assignment of a device.
+type Move struct {
+	SF      lora.SF
+	TPdBm   float64
+	Channel int
 }
 
 // NewEvaluator builds an evaluator for the given network, parameters and
@@ -114,13 +156,11 @@ func NewEvaluator(net *Network, p Params, alloc Allocation, mode Mode) (*Evaluat
 	if p.InterSFRejectionDB > 0 {
 		e.interSFRej = lora.DBToLinear(-p.InterSFRejectionDB)
 	}
-	e.toaBySF = make(map[lora.SF]float64, 6)
-	e.thLin = make(map[lora.SF]float64, 6)
-	e.ssMW = make(map[lora.SF]float64, 6)
 	for _, s := range lora.SFs() {
-		e.toaBySF[s] = p.TimeOnAir(s)
-		e.thLin[s] = lora.DBToLinear(lora.SNRThresholdDB(s))
-		e.ssMW[s] = lora.DBmToMilliwatts(lora.SensitivityDBm(s))
+		si := sfIndex(s)
+		e.toaBySF[si] = p.TimeOnAir(s)
+		e.thLin[si] = lora.DBToLinear(lora.SNRThresholdDB(s))
+		e.ssMW[si] = lora.DBmToMilliwatts(lora.SensitivityDBm(s))
 	}
 	e.gain = Gains(net, p)
 	e.density = deviceDensity(net)
@@ -133,13 +173,23 @@ func NewEvaluator(net *Network, p Params, alloc Allocation, mode Mode) (*Evaluat
 	e.es = make([]float64, e.n)
 	e.vis = make([][]float64, e.n)
 	e.q = make([][]float64, e.n)
-	// One backing array for all vis/q rows: per-row make calls were half
-	// the allocator's per-evaluator allocation count.
-	visq := make([]float64, 2*e.n*e.g)
-	for i := 0; i < e.n; i++ {
-		e.vis[i] = visq[2*i*e.g : (2*i+1)*e.g : (2*i+1)*e.g]
-		e.q[i] = visq[(2*i+1)*e.g : (2*i+2)*e.g : (2*i+2)*e.g]
+	e.pdr0 = make([][]float64, e.n)
+	// One backing array for all per-device gateway rows and the scan
+	// scratch: per-row make calls were half the allocator's per-evaluator
+	// allocation count.
+	rows := make([]float64, (3*e.n+9)*e.g)
+	row := func() []float64 {
+		r := rows[:e.g:e.g]
+		rows = rows[e.g:]
+		return r
 	}
+	for i := 0; i < e.n; i++ {
+		e.vis[i], e.q[i], e.pdr0[i] = row(), row(), row()
+	}
+	s := &e.scan
+	s.leaveVis, s.leaveQ, s.negPGOld = row(), row(), row()
+	s.vis, s.q, s.pdr0, s.pgNew = row(), row(), row(), row()
+	s.joinVis, s.joinQ = row(), row()
 	e.ee = make([]float64, e.n)
 	copy(e.sf, alloc.SF)
 	copy(e.tpDBm, alloc.TPdBm)
@@ -166,19 +216,17 @@ func NewEvaluator(net *Network, p Params, alloc Allocation, mode Mode) (*Evaluat
 
 	for i := 0; i < e.n; i++ {
 		e.tpMW[i] = lora.DBmToMilliwatts(e.tpDBm[i])
-		toa := e.toaBySF[e.sf[i]]
+		toa := e.toaBySF[sfIndex(e.sf[i])]
 		interval := p.IntervalFor(net, i, e.sf[i])
 		e.alpha[i] = math.Min(1, toa/interval)
 		e.es[i] = p.Profile.TransmissionEnergy(e.tpDBm[i], toa)
 		gr := e.groupOf(e.sf[i], e.ch[i])
 		gr.count++
 		gr.members[i] = struct{}{}
+		e.footprint(i, e.sf[i], e.tpMW[i], e.alpha[i], e.vis[i], e.q[i], e.pdr0[i])
 		for k := 0; k < e.g; k++ {
-			v := e.visibility(i, k, e.sf[i], e.tpMW[i])
-			e.vis[i][k] = v
-			e.q[i][k] = e.alpha[i] * v
 			gr.sumPG[k] += e.tpMW[i] * e.gain[i][k]
-			gr.visSum[k] += v
+			gr.visSum[k] += e.vis[i][k]
 			gr.qSum[k] += e.q[i][k]
 			e.chSum[e.ch[i]][k] += e.tpMW[i] * e.gain[i][k]
 		}
@@ -217,14 +265,27 @@ func sfIndex(s lora.SF) int { return int(s) - int(lora.SF7) }
 
 func (e *Evaluator) groupOf(s lora.SF, c int) *group { return e.groups[sfIndex(s)][c] }
 
-// visibility returns P{device i's signal clears gateway k's sensitivity
-// for SF s under Rayleigh fading} = exp(-ss_s/(p·a)).
-func (e *Evaluator) visibility(i, k int, s lora.SF, tpmw float64) float64 {
-	pa := tpmw * e.gain[i][k]
-	if pa <= 0 {
-		return 0
+// footprint fills device i's per-gateway visibility P{signal clears the
+// sensitivity of SF sf under Rayleigh fading} = exp(-ss/(p·a)), capacity
+// trial probability α·vis and noise-floor PDR exp(-floor/(p·a)) for
+// transmitting at tpmw mW with duty cycle alpha. Out-of-range gateways
+// (p·a <= 0) get zeros.
+//
+//eflora:hotpath
+func (e *Evaluator) footprint(i int, sf lora.SF, tpmw, alpha float64, vis, q, pdr0 []float64) {
+	si := sfIndex(sf)
+	ss := e.ssMW[si]
+	floorMW := math.Max(e.thLin[si]*e.noiseMW, ss)
+	for k, gk := range e.gain[i] {
+		pa := tpmw * gk
+		if pa <= 0 {
+			vis[k], q[k], pdr0[k] = 0, 0, 0
+			continue
+		}
+		vis[k] = math.Exp(-ss / pa)
+		q[k] = alpha * vis[k]
+		pdr0[k] = math.Exp(-floorMW / pa)
 	}
-	return math.Exp(-e.ssMW[s] / pa)
 }
 
 // rebuildCapacity recomputes every per-gateway Poisson-binomial capacity
@@ -242,24 +303,35 @@ func (e *Evaluator) rebuildCapacity() {
 	}
 }
 
-// eeCompute returns the energy efficiency of device i if it used (sf,
-// tpmw) in a group of `total` devices, where collExposure(k) returns the
-// group's (visSum, qSum) at gateway k excluding i's own contribution, and
-// interSum(k) the co-channel other-SF mean power excluding i (used only
-// when the inter-SF extension is on). The gateway-capacity factor excludes
-// i's currently registered trial probability.
+// exposure is the neighborhood a device's EE is evaluated in, per gateway
+// k: the group's co-SF collision sums visBase[k] and qBase[k] — minus the
+// device's own registered vis and q when subOwn is set — and the
+// co-channel other-SF mean power chSum[k]-sumPG[k], plus pgAdj[k] when
+// pgAdj is non-nil (read only by the inter-SF extension).
+type exposure struct {
+	visBase, qBase      []float64
+	subOwn              bool
+	chSum, sumPG, pgAdj []float64
+}
+
+// eeAt returns the energy efficiency of device i if it used (sf, tpmw) with
+// duty cycle alpha and energy per attempt es, in a group of `total`
+// devices with exposure ex. vis and pdr0 are i's per-gateway visibility
+// and noise-floor PDR under that assignment (footprint). The
+// gateway-capacity factor excludes i's currently registered trial
+// probability.
 //
 //eflora:hotpath
-func (e *Evaluator) eeCompute(
-	i int, sf lora.SF, tpmw float64, total int,
-	collExposure func(k int) (visEx, qEx float64),
-	interSum func(k int) float64, es float64,
-) float64 {
-	interval := e.p.IntervalFor(e.net, i, sf)
-	alpha := math.Min(1, e.toaBySF[sf]/interval)
-	th := e.thLin[sf]
-	ss := e.ssMW[sf]
-	floorMW := math.Max(th*e.noiseMW, ss)
+func (e *Evaluator) eeAt(i int, sf lora.SF, tpmw, alpha, es float64, total int, vis, pdr0 []float64, ex *exposure) float64 {
+	si := sfIndex(sf)
+	th := e.thLin[si]
+	ss := e.ssMW[si]
+	gain, visI, qI := e.gain[i], e.vis[i], e.q[i]
+	// h is the paper's Eq. 14 contention factor.
+	var h float64
+	if e.mode == ModePPP || e.interSFRej > 0 {
+		h = 1 - math.Exp(-alpha*float64(total))
+	}
 	prodFail := 1.0
 	// Collision survival is a SHARED event across gateways: an
 	// overlapping co-group transmission occupies the same time slice at
@@ -269,7 +341,7 @@ func (e *Evaluator) eeCompute(
 	// gateway's exposure by how much this device relies on it.
 	var wSum, wExposure float64
 	for k := 0; k < e.g; k++ {
-		pa := tpmw * e.gain[i][k]
+		pa := tpmw * gain[k]
 		if pa <= 0 {
 			continue
 		}
@@ -277,12 +349,10 @@ func (e *Evaluator) eeCompute(
 		if e.mode == ModePPP {
 			// Paper Eq. 18: the Laplace transform of PPP interference of
 			// the group's density takes the place of the explicit
-			// collision term. h is the paper's Eq. 14 contention factor.
-			h := 1 - math.Exp(-alpha*float64(total))
+			// collision term.
 			lambdaSC := e.density * float64(total) / float64(e.n)
 			env := e.p.Environments[e.net.EnvOf(i)]
-			l := mathx.LaplacePPPInterference(th*h/pa, tpmw*env.Amplitude(), lambdaSC, env.Exponent)
-			pdr = l * math.Exp(-floorMW/pa)
+			pdr = mathx.LaplacePPPInterference(th*h/pa, tpmw*env.Amplitude(), lambdaSC, env.Exponent) * pdr0[k]
 		} else {
 			// Hard-collision model matching the simulator (and the
 			// paper's stated rule): the packet survives only if no
@@ -290,22 +360,28 @@ func (e *Evaluator) eeCompute(
 			// vulnerable window of ≈ T_i + T_j, i.e. per peer
 			// probability (α_i + α_j)·vis_j, aggregated as
 			// exp(-(α_i·Σvis + Σα_j·vis_j)).
-			visEx, qEx := collExposure(k)
-			visOwn := math.Exp(-ss / pa)
-			wSum += visOwn
-			wExposure += visOwn * (alpha*visEx + qEx)
-			snrFloor := floorMW
+			visEx, qEx := ex.visBase[k], ex.qBase[k]
+			if ex.subOwn {
+				visEx -= visI[k]
+				qEx -= qI[k]
+			}
+			wSum += vis[k]
+			wExposure += vis[k] * (alpha*visEx + qEx)
+			pdr = pdr0[k]
 			if e.interSFRej > 0 {
 				// Imperfect-orthogonality extension: co-channel other-SF
 				// power leaks into the SNR denominator, attenuated by
 				// the rejection factor and scaled by the overlap
 				// fraction.
-				h := 1 - math.Exp(-alpha*float64(total))
-				snrFloor = math.Max(th*(e.noiseMW+e.interSFRej*h*interSum(k)), ss)
+				inter := ex.chSum[k] - ex.sumPG[k]
+				if ex.pgAdj != nil {
+					inter += ex.pgAdj[k]
+				}
+				snrFloor := math.Max(th*(e.noiseMW+e.interSFRej*h*inter), ss)
+				pdr = math.Exp(-snrFloor / pa)
 			}
-			pdr = math.Exp(-snrFloor / pa)
 		}
-		theta := e.capDP[k].ProbAtMostExcluding(e.q[i][k], e.p.GatewayCapacity-1)
+		theta := e.capDP[k].ProbAtMostExcluding(qI[k], e.p.GatewayCapacity-1)
 		prodFail *= 1 - theta*pdr
 	}
 	prr := 1 - prodFail
@@ -314,7 +390,7 @@ func (e *Evaluator) eeCompute(
 	}
 	if e.p.Objective == ObjectiveThroughput {
 		// Future-work variant: delivered bits per second.
-		return e.lbits * prr / interval
+		return e.lbits * prr / e.p.IntervalFor(e.net, i, sf)
 	}
 	return e.lbits * prr / es
 }
@@ -324,15 +400,32 @@ func (e *Evaluator) eeCompute(
 //eflora:hotpath
 func (e *Evaluator) eeOf(i int) float64 {
 	gr := e.groupOf(e.sf[i], e.ch[i])
-	c := e.ch[i]
-	return e.eeCompute(i, e.sf[i], e.tpMW[i], gr.count,
-		func(k int) (float64, float64) {
-			return gr.visSum[k] - e.vis[i][k], gr.qSum[k] - e.q[i][k]
-		},
-		func(k int) float64 {
-			return e.chSum[c][k] - gr.sumPG[k]
-		},
-		e.es[i])
+	ex := exposure{visBase: gr.visSum, qBase: gr.qSum, subOwn: true, chSum: e.chSum[e.ch[i]], sumPG: gr.sumPG}
+	return e.eeAt(i, e.sf[i], e.tpMW[i], e.alpha[i], e.es[i], gr.count, e.vis[i], e.pdr0[i], &ex)
+}
+
+// membersMin folds into min the EE of gr's members other than skip, each
+// under its committed assignment in a group of `total` devices with
+// exposure ex, and returns early once min falls to threshold or below.
+// Iterating the member set in map order is safe: without an early return
+// the result is an order-independent minimum, and an early return is only
+// compared against the threshold.
+//
+//eflora:hotpath
+func (e *Evaluator) membersMin(gr *group, skip, total int, ex *exposure, min, threshold float64) float64 {
+	//eflora:nondeterminism-ok order-independent min; early-abort returns are only compared against the threshold
+	for j := range gr.members {
+		if j == skip {
+			continue
+		}
+		if v := e.eeAt(j, e.sf[j], e.tpMW[j], e.alpha[j], e.es[j], total, e.vis[j], e.pdr0[j], ex); v < min {
+			min = v
+			if min <= threshold {
+				return min
+			}
+		}
+	}
+	return min
 }
 
 // RecomputeAll refreshes every cached quantity: the capacity
@@ -401,13 +494,6 @@ func (e *Evaluator) MinEE() (float64, int) {
 	return min, idx
 }
 
-// Assignment returns device i's committed (SF, TP dBm, channel) without
-// snapshotting the whole allocation — the greedy's inner loop only needs
-// the device it is about to re-optimize.
-func (e *Evaluator) Assignment(i int) (lora.SF, float64, int) {
-	return e.sf[i], e.tpDBm[i], e.ch[i]
-}
-
 // Allocation returns a snapshot of the committed allocation.
 func (e *Evaluator) Allocation() Allocation {
 	a := Allocation{
@@ -432,168 +518,192 @@ func (e *Evaluator) MinEEIf(i int, sf lora.SF, tpDBm float64, ch int) float64 {
 // MinEEIfAbove is MinEEIf with an early-abort threshold: as soon as the
 // running minimum falls to the threshold or below, it returns immediately
 // with that value. The greedy allocator only cares whether a candidate
-// beats the current best, so most candidates are rejected after O(G) work
-// instead of a full scan of the affected groups.
+// beats the current best, so most candidates are rejected after O(1) or
+// O(G) work instead of a full scan of the affected groups.
 //
 //eflora:hotpath
 func (e *Evaluator) MinEEIfAbove(i int, sf lora.SF, tpDBm float64, ch int, threshold float64) float64 {
-	oldGr := e.groupOf(e.sf[i], e.ch[i])
-	newGr := e.groupOf(sf, ch)
-	tpmw := lora.DBmToMilliwatts(tpDBm)
-	toa := e.toaBySF[sf]
-	es := e.p.Profile.TransmissionEnergy(tpDBm, toa)
-	interval := e.p.IntervalFor(e.net, i, sf)
-	alphaNew := math.Min(1, toa/interval)
-	oldCh, newCh := e.ch[i], ch
-	same := oldGr == newGr
+	e.scanDevice(i)
+	e.scanPair(sf, tpDBm)
+	return e.moveMinEE(ch, threshold)
+}
 
-	// The candidate's per-gateway visibility under the new assignment.
-	visNew := func(k int) float64 { return e.visibility(i, k, sf, tpmw) }
-	qNew := func(k int) float64 { return alphaNew * visNew(k) }
-	ownPGOld := func(k int) float64 { return e.tpMW[i] * e.gain[i][k] }
-	ownPGNew := func(k int) float64 { return tpmw * e.gain[i][k] }
+// BestMove scans device i's candidate reassignments — every SF, each
+// power of tpLevels at which the link closes (Feasible), every channel, in
+// that nesting order — and returns the first candidate attaining the
+// largest network minimum EE strictly above threshold, with that minimum.
+// When no candidate beats threshold it returns threshold. skipCurrent
+// leaves i's committed assignment out of the scan; tried counts the
+// candidates scanned.
+//
+// Every candidate's minimum is bit-identical to MinEEIfAbove's against
+// the running best, but what all channels of an (SF, TP) pair share — the
+// candidate's energy per attempt, duty cycle, and per-gateway visibility
+// and noise-floor PDR — is computed once per pair, and the minimum of the
+// members i leaves behind once per scan.
+//
+//eflora:hotpath
+func (e *Evaluator) BestMove(i int, tpLevels []float64, skipCurrent bool, threshold float64) (best Move, bestEE float64, tried int) {
+	e.scanDevice(i)
+	cur := Move{SF: e.sf[i], TPdBm: e.tpDBm[i], Channel: e.ch[i]}
+	bestEE = threshold
+	for sf := lora.MinSF; sf <= lora.MaxSF; sf++ {
+		for _, tp := range tpLevels {
+			if !Feasible(e.gain, i, sf, tp) {
+				continue
+			}
+			e.scanPair(sf, tp)
+			for ch := 0; ch < e.nch; ch++ {
+				if skipCurrent && sf == cur.SF && tp == cur.TPdBm && ch == cur.Channel {
+					continue
+				}
+				tried++
+				if got := e.moveMinEE(ch, bestEE); got > bestEE {
+					best, bestEE = Move{SF: sf, TPdBm: tp, Channel: ch}, got
+				}
+			}
+		}
+	}
+	return best, bestEE, tried
+}
 
-	// Candidate EE of device i itself: exclude its own (old or new)
-	// contribution from the new group's exposure sums.
-	newCount := newGr.count + 1
-	if same {
-		newCount = newGr.count
-	}
-	collI := func(k int) (float64, float64) {
-		v, q := newGr.visSum[k], newGr.qSum[k]
-		if same {
-			v -= e.vis[i][k]
-			q -= e.q[i][k]
+// scanDevice starts a candidate scan of device i: the untouched-group
+// minima and the exposure i leaves behind in its current group.
+//
+//eflora:hotpath
+func (e *Evaluator) scanDevice(i int) {
+	s := &e.scan
+	s.i = i
+	s.oldGr = e.groupOf(e.sf[i], e.ch[i])
+	s.min1, s.min2, s.min1Gr = math.Inf(1), math.Inf(1), nil
+	for si := range e.groups {
+		for _, gr := range e.groups[si] {
+			switch {
+			case gr == s.oldGr:
+			case gr.minEE < s.min1:
+				s.min2 = s.min1
+				s.min1, s.min1Gr = gr.minEE, gr
+			case gr.minEE < s.min2:
+				s.min2 = gr.minEE
+			}
 		}
-		return v, q
 	}
-	interI := func(k int) float64 {
-		s := e.chSum[newCh][k] - newGr.sumPG[k]
-		if !same && oldCh == newCh {
-			s -= ownPGOld(k)
+	for k := 0; k < e.g; k++ {
+		s.leaveVis[k] = s.oldGr.visSum[k] - e.vis[i][k]
+		s.leaveQ[k] = s.oldGr.qSum[k] - e.q[i][k]
+		s.negPGOld[k] = -(e.tpMW[i] * e.gain[i][k])
+	}
+	s.leaveKnown = false
+}
+
+// scanPair sets the scanned (SF, TP) and hoists what all channels share:
+// the device's duty cycle, energy per attempt and per-gateway footprint.
+//
+//eflora:hotpath
+func (e *Evaluator) scanPair(sf lora.SF, tpDBm float64) {
+	s := &e.scan
+	toa := e.toaBySF[sfIndex(sf)]
+	s.sf = sf
+	s.alpha = math.Min(1, toa/e.p.IntervalFor(e.net, s.i, sf))
+	s.tpmw = lora.DBmToMilliwatts(tpDBm)
+	s.es = e.p.Profile.TransmissionEnergy(tpDBm, toa)
+	e.footprint(s.i, sf, s.tpmw, s.alpha, s.vis, s.q, s.pdr0)
+	if e.interSFRej > 0 {
+		for k, gk := range e.gain[s.i] {
+			s.pgNew[k] = s.tpmw * gk
 		}
-		return s
 	}
-	min := e.eeCompute(i, sf, tpmw, newCount, collI, interI, es)
+}
+
+// moveMinEE is the network minimum EE if the scanned device moved to
+// channel ch under the scanned (SF, TP), with MinEEIfAbove's early abort.
+// The bounds are folded cheapest first: untouched groups (O(1)), the
+// device itself (O(G)), then the members of the groups it leaves and
+// joins. The minimum of a set does not depend on that order, and an
+// early return only has to be at or below the threshold.
+//
+//eflora:hotpath
+func (e *Evaluator) moveMinEE(ch int, threshold float64) float64 {
+	s := &e.scan
+	i, oldGr := s.i, s.oldGr
+	oldCh := e.ch[i]
+	newGr := e.groups[sfIndex(s.sf)][ch]
+	same := newGr == oldGr
+
+	min := s.min1
+	if newGr == s.min1Gr {
+		min = s.min2
+	}
 	if min <= threshold {
 		return min
 	}
 
-	// Fold in the untouched groups' cached minima before the expensive
-	// member scans: if any of them is already at or below the threshold
-	// the candidate cannot win and we bail out after O(1) work per group.
-	// When the inter-SF extension is enabled, co-channel groups of other
-	// SFs are also perturbed; we accept their cached values here
-	// (second-order, refreshed on commit) to keep candidate evaluation
-	// O(affected).
-	for si := range e.groups {
-		for _, gr := range e.groups[si] {
-			if gr == oldGr || gr == newGr {
-				continue
-			}
-			if gr.minEE < min {
-				min = gr.minEE
-				if min <= threshold {
-					return min
-				}
-			}
+	// The device itself, excluding its own registered contribution from
+	// the group's exposure sums. When it changes SF on the same channel,
+	// its old power no longer counts as other-SF interference.
+	newCount := newGr.count + 1
+	if same {
+		newCount = newGr.count
+	}
+	ex := exposure{visBase: newGr.visSum, qBase: newGr.qSum, subOwn: same, chSum: e.chSum[ch], sumPG: newGr.sumPG}
+	if !same && oldCh == ch {
+		ex.pgAdj = s.negPGOld
+	}
+	if v := e.eeAt(i, s.sf, s.tpmw, s.alpha, s.es, newCount, s.vis, s.pdr0, &ex); v < min {
+		min = v
+		if min <= threshold {
+			return min
 		}
 	}
 
-	if !same {
-		// Members of the old group (i leaves): count-1, exposure minus
-		// i's old contribution. Iterating the member set in map order is
-		// safe here and below: without early abort the full scan computes
-		// an order-independent minimum, and when the threshold aborts the
-		// scan the caller discards the exact value (any return <= its
-		// threshold means "candidate rejected").
-		oldCount := oldGr.count - 1
-		//eflora:nondeterminism-ok order-independent min; early-abort returns are only compared against the threshold
-		for j := range oldGr.members {
-			if j == i {
-				continue
-			}
-			//eflora:alloc-ok non-escaping callback: eeCompute never retains it, proven zero-alloc by TestEvaluatorAllocBudget
-			collJ := func(k int) (float64, float64) {
-				return oldGr.visSum[k] - e.vis[i][k] - e.vis[j][k],
-					oldGr.qSum[k] - e.q[i][k] - e.q[j][k]
-			}
-			// chSum[oldCh] loses i's old power and the group sum loses it
-			// too, so the other-SF remainder keeps its value — except
-			// that when i stays on the same channel with a new SF, its
-			// new power arrives as other-SF interference.
-			//eflora:alloc-ok non-escaping callback: eeCompute never retains it, proven zero-alloc by TestEvaluatorAllocBudget
-			interJ := func(k int) float64 {
-				s := e.chSum[oldCh][k] - oldGr.sumPG[k]
-				if newCh == oldCh {
-					s += ownPGNew(k)
-				}
-				return s
-			}
-			ee := e.eeCompute(j, e.sf[j], e.tpMW[j], oldCount, collJ, interJ, e.es[j])
-			if ee < min {
-				min = ee
-				if min <= threshold {
-					return min
-				}
-			}
-		}
-		// Members of the new group (i joins).
-		//eflora:nondeterminism-ok order-independent min; early-abort returns are only compared against the threshold
-		for j := range newGr.members {
-			//eflora:alloc-ok non-escaping callback: eeCompute never retains it, proven zero-alloc by TestEvaluatorAllocBudget
-			collJ := func(k int) (float64, float64) {
-				return newGr.visSum[k] + visNew(k) - e.vis[j][k],
-					newGr.qSum[k] + qNew(k) - e.q[j][k]
-			}
-			// chSum[newCh] gains i's new power and the group sum gains it
-			// too, cancelling out — but when i left the same channel
-			// (different SF), its old other-SF power disappears.
-			//eflora:alloc-ok non-escaping callback: eeCompute never retains it, proven zero-alloc by TestEvaluatorAllocBudget
-			interJ := func(k int) float64 {
-				s := e.chSum[newCh][k] - newGr.sumPG[k]
-				if oldCh == newCh {
-					s -= ownPGOld(k)
-				}
-				return s
-			}
-			ee := e.eeCompute(j, e.sf[j], e.tpMW[j], newCount, collJ, interJ, e.es[j])
-			if ee < min {
-				min = ee
-				if min <= threshold {
-					return min
-				}
-			}
-		}
-	} else {
+	if same {
 		// Same group, possibly different TP: peers see i's exposure
-		// change.
-		//eflora:nondeterminism-ok order-independent min; early-abort returns are only compared against the threshold
-		for j := range newGr.members {
-			if j == i {
-				continue
-			}
-			//eflora:alloc-ok non-escaping callback: eeCompute never retains it, proven zero-alloc by TestEvaluatorAllocBudget
-			collJ := func(k int) (float64, float64) {
-				return newGr.visSum[k] - e.vis[i][k] + visNew(k) - e.vis[j][k],
-					newGr.qSum[k] - e.q[i][k] + qNew(k) - e.q[j][k]
-			}
-			// chSum gains (new-old) and the group sum gains the same, so
-			// the other-SF remainder is unchanged.
-			//eflora:alloc-ok non-escaping callback: eeCompute never retains it, proven zero-alloc by TestEvaluatorAllocBudget
-			interJ := func(k int) float64 {
-				return e.chSum[newCh][k] - newGr.sumPG[k]
-			}
-			ee := e.eeCompute(j, e.sf[j], e.tpMW[j], newCount, collJ, interJ, e.es[j])
-			if ee < min {
-				min = ee
-				if min <= threshold {
-					return min
-				}
-			}
+		// change. chSum gains (new-old) and the group sum gains the same,
+		// so the other-SF remainder is unchanged.
+		for k := 0; k < e.g; k++ {
+			s.joinVis[k] = newGr.visSum[k] - e.vis[i][k] + s.vis[k]
+			s.joinQ[k] = newGr.qSum[k] - e.q[i][k] + s.q[k]
+		}
+		ex = exposure{visBase: s.joinVis, qBase: s.joinQ, subOwn: true, chSum: e.chSum[ch], sumPG: newGr.sumPG}
+		return e.membersMin(newGr, i, newCount, &ex, min, threshold)
+	}
+
+	// Members of the old group (i leaves): count-1, exposure minus i's old
+	// contribution. chSum[oldCh] loses i's old power and the group sum
+	// loses it too, so the other-SF remainder keeps its value — except
+	// that when i stays on the same channel with a new SF, its new power
+	// arrives as other-SF interference.
+	if !s.leaveKnown {
+		ex = exposure{visBase: s.leaveVis, qBase: s.leaveQ, subOwn: true, chSum: e.chSum[oldCh], sumPG: oldGr.sumPG}
+		if ch == oldCh {
+			ex.pgAdj = s.pgNew
+		}
+		s.leaveKnown = e.interSFRej == 0
+		abort := threshold
+		if s.leaveKnown {
+			abort = math.Inf(-1) // reused by later candidates: compute it exactly
+		}
+		s.leaveMin = e.membersMin(oldGr, i, oldGr.count-1, &ex, math.Inf(1), abort)
+	}
+	if s.leaveMin < min {
+		min = s.leaveMin
+		if min <= threshold {
+			return min
 		}
 	}
-	return min
+
+	// Members of the new group (i joins). chSum[ch] gains i's new power
+	// and the group sum gains it too, cancelling out — but when i left
+	// the same channel (different SF), its old other-SF power disappears.
+	for k := 0; k < e.g; k++ {
+		s.joinVis[k] = newGr.visSum[k] + s.vis[k]
+		s.joinQ[k] = newGr.qSum[k] + s.q[k]
+	}
+	ex = exposure{visBase: s.joinVis, qBase: s.joinQ, subOwn: true, chSum: e.chSum[ch], sumPG: newGr.sumPG}
+	if oldCh == ch {
+		ex.pgAdj = s.negPGOld
+	}
+	return e.membersMin(newGr, -1, newCount, &ex, min, threshold)
 }
 
 // SetDevice commits a reassignment of device i and refreshes the caches of
@@ -635,17 +745,15 @@ func (e *Evaluator) SetDevice(i int, sf lora.SF, tpDBm float64, ch int) error {
 	e.tpDBm[i] = tpDBm
 	e.tpMW[i] = tpmw
 	e.ch[i] = ch
-	toa := e.toaBySF[sf]
+	toa := e.toaBySF[sfIndex(sf)]
 	interval := e.p.IntervalFor(e.net, i, sf)
 	e.alpha[i] = math.Min(1, toa/interval)
 	e.es[i] = e.p.Profile.TransmissionEnergy(tpDBm, toa)
+	e.footprint(i, sf, tpmw, e.alpha[i], e.vis[i], e.q[i], e.pdr0[i])
 	for k := 0; k < e.g; k++ {
 		pg := tpmw * e.gain[i][k]
-		v := e.visibility(i, k, sf, tpmw)
-		e.vis[i][k] = v
-		e.q[i][k] = e.alpha[i] * v
 		newGr.sumPG[k] += pg
-		newGr.visSum[k] += v
+		newGr.visSum[k] += e.vis[i][k]
 		newGr.qSum[k] += e.q[i][k]
 		e.chSum[ch][k] += pg
 		e.capDP[k].Add(e.q[i][k])

@@ -56,8 +56,8 @@ type Breakdown struct {
 func (e *Evaluator) Explain(i int) Breakdown {
 	gr := e.groupOf(e.sf[i], e.ch[i])
 	sf := e.sf[i]
-	th := e.thLin[sf]
-	ss := e.ssMW[sf]
+	th := e.thLin[sfIndex(sf)]
+	ss := e.ssMW[sfIndex(sf)]
 	floorMW := math.Max(th*e.noiseMW, ss)
 	b := Breakdown{
 		Device:       i,
@@ -66,7 +66,7 @@ func (e *Evaluator) Explain(i int) Breakdown {
 		Channel:      e.ch[i],
 		GroupSize:    gr.count,
 		DutyCycle:    e.alpha[i],
-		AirTimeS:     e.toaBySF[sf],
+		AirTimeS:     e.toaBySF[sfIndex(sf)],
 		EnergyPerTxJ: e.es[i],
 		PRR:          e.PRR(i),
 		EE:           e.ee[i],

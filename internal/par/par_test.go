@@ -7,12 +7,16 @@ import (
 	"testing"
 )
 
-func TestWorkersDefaultsToNumCPU(t *testing.T) {
-	if got := Workers(0); got != runtime.NumCPU() {
-		t.Errorf("Workers(0) = %d, want %d", got, runtime.NumCPU())
+func TestWorkersDefaultsToGOMAXPROCS(t *testing.T) {
+	// GOMAXPROCS 1 and 3 cannot both equal the CPU count, so a NumCPU
+	// default fails on any host.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if got := Workers(0); got != 1 {
+		t.Errorf("Workers(0) = %d at GOMAXPROCS 1, want 1", got)
 	}
-	if got := Workers(-3); got != runtime.NumCPU() {
-		t.Errorf("Workers(-3) = %d, want %d", got, runtime.NumCPU())
+	runtime.GOMAXPROCS(3)
+	if got := Workers(-3); got != 3 {
+		t.Errorf("Workers(-3) = %d at GOMAXPROCS 3, want 3", got)
 	}
 	if got := Workers(5); got != 5 {
 		t.Errorf("Workers(5) = %d", got)

@@ -65,6 +65,8 @@ func (s *Store) Recover() (*Recovered, error) {
 			wantSeq++
 		}
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.metrics.RecoveryReplayed = uint64(len(out.Tail))
 	s.metrics.RecoverySnapshotsSkipped = uint64(out.SnapshotsSkipped)
 	if out.Snapshot != nil {

@@ -39,6 +39,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -103,10 +104,16 @@ func (o Options) withDefaults() Options {
 
 // Store manages one state directory: an append-only WAL plus rotating
 // snapshots. A Store is not safe for concurrent use; the daemon serializes
-// appends and snapshots on its control-loop goroutine.
+// appends and snapshots on its control-loop goroutine. Metrics alone may
+// be called from any goroutine (the daemon's /metrics handler).
 type Store struct {
 	dir  string
 	opts Options
+
+	// mu guards the fields Metrics reads — nextSeq, snapSeq and metrics —
+	// against the control loop's writes. The writer reads them without
+	// the lock: it is their only writer.
+	mu sync.Mutex
 
 	wal     *walWriter
 	nextSeq uint64
@@ -201,6 +208,8 @@ func (s *Store) NextSeq() uint64 { return s.nextSeq }
 
 // Metrics returns a copy of the operational accounting.
 func (s *Store) Metrics() Metrics {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	m := s.metrics
 	m.WALSeq = s.nextSeq
 	if s.nextSeq-1 >= s.snapSeq {

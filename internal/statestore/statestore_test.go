@@ -2,6 +2,7 @@ package statestore
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -542,6 +543,58 @@ func TestMetricsAccounting(t *testing.T) {
 	}
 	if m.Snapshots != 1 || m.SnapshotBytes == 0 {
 		t.Fatalf("snapshot metrics = %+v", m)
+	}
+}
+
+// TestMetricsConcurrentWithWrites reads Metrics from another goroutine —
+// as the daemon's /metrics handler does — while the writer appends,
+// syncs and snapshots. Run under -race it pins the accounting's locking;
+// the reader also checks that the counters it sees never go backwards.
+func TestMetricsConcurrentWithWrites(t *testing.T) {
+	s := mustOpen(t, t.TempDir(), Options{})
+	defer s.Close()
+	done := make(chan struct{})
+	readerErr := make(chan error, 1)
+	go func() {
+		var last Metrics
+		for {
+			m := s.Metrics()
+			if m.WALSeq < last.WALSeq || m.WALAppends < last.WALAppends || m.Snapshots < last.Snapshots {
+				readerErr <- fmt.Errorf("metrics went backwards: %+v after %+v", m, last)
+				return
+			}
+			last = m
+			select {
+			case <-done:
+				readerErr <- nil
+				return
+			default:
+			}
+		}
+	}()
+	st := testState()
+	for i := 0; i < 40; i++ {
+		if _, err := s.Append(delta(float64(i), i%3, 7), float64(i)); err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+		if i%4 == 3 {
+			if err := s.Sync(); err != nil {
+				t.Fatalf("Sync: %v", err)
+			}
+		}
+		if i%10 == 9 {
+			st.Seq = s.NextSeq() - 1
+			if err := s.WriteSnapshot(st); err != nil {
+				t.Fatalf("WriteSnapshot: %v", err)
+			}
+		}
+	}
+	close(done)
+	if err := <-readerErr; err != nil {
+		t.Fatal(err)
+	}
+	if m := s.Metrics(); m.WALAppends != 40 || m.WALFsyncs != 10 || m.Snapshots != 4 || m.WALLagRecords != 0 {
+		t.Fatalf("final metrics = %+v", m)
 	}
 }
 

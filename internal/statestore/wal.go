@@ -134,9 +134,11 @@ func (s *Store) Append(delta *scenario.Delta, nowS float64) (uint64, error) {
 	}
 	s.wal.size += int64(len(buf))
 	seq := s.nextSeq
+	s.mu.Lock()
 	s.nextSeq++
 	s.metrics.WALAppends++
 	s.metrics.WALBytes += uint64(len(buf))
+	s.mu.Unlock()
 	return seq, nil
 }
 
@@ -163,8 +165,11 @@ func (s *Store) Sync() error {
 	if err := s.wal.f.Sync(); err != nil {
 		return fmt.Errorf("statestore: wal fsync: %w", err)
 	}
+	took := time.Since(start).Seconds() //eflora:nondeterminism-ok fsync latency diagnostic only
+	s.mu.Lock()
 	s.metrics.WALFsyncs++
-	s.metrics.FsyncSeconds.Observe(time.Since(start).Seconds()) //eflora:nondeterminism-ok fsync latency diagnostic only
+	s.metrics.FsyncSeconds.Observe(took)
+	s.mu.Unlock()
 	return nil
 }
 
